@@ -153,17 +153,6 @@ class EvalOptions:
         composes with synopsis pruning.  Conservative — results are
         bit-identical either way — and free when the document carries no
         summary.  Disable with CLI ``--no-pathsummary``.
-    batched:
-        Run the intra-cluster datapath batch-at-a-time over columnar
-        cluster views (:class:`~repro.storage.colview.ColumnView`): XStep
-        discovers a whole extension's candidate array charge-free, tests
-        it with one vectorised ``match_batch``, and replays the scalar
-        charge sequence in a flat emit loop; XScan/XSchedule/shared scans
-        enumerate speculative entry borders from the view's precomputed
-        lists.  Pure CPU-dispatch optimisation: results, ``Stats`` and
-        simulated timings are bit-identical with the flag off (CLI
-        ``--no-batched``), which falls back to one-record-at-a-time
-        navigation over record objects.
     calibration:
         Let :class:`~repro.exec.session.QuerySession` feed *measured*
         plan outcomes back into the AUTO chooser: observed per-shape
@@ -199,7 +188,6 @@ class EvalOptions:
     rewrite_descendant: bool = True
     synopsis: bool = True
     pathsummary: bool = True
-    batched: bool = True
     calibration: bool = True
     retry: RetryPolicy = RetryPolicy()
     latency_slo: float | None = None

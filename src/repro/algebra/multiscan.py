@@ -25,7 +25,6 @@ from repro.algebra.pathinstance import PathInstance
 from repro.algebra.xassembly import XAssembly
 from repro.algebra.xstep import XStep
 from repro.errors import BudgetExceededError, PlanError
-from repro.storage.nav import speculative_entries
 from repro.storage.nodeid import NodeID, make_nodeid, page_of, slot_of
 from repro.storage.store import StoredDocument
 from repro.storage.synopsis import cost_effective_skips
@@ -100,7 +99,6 @@ def shared_scan(
     ]
     root = document.root
     context_cluster = page_of(root)
-    batched = ctx.options.batched
     synopsis = document.synopsis if ctx.options.synopsis else None
     page_nos = document.page_nos
     if synopsis is not None:
@@ -198,12 +196,7 @@ def shared_scan(
                         if ctx.tracer is not None:
                             ctx.tracer.count("pathsummary_entries_pruned")
                         continue
-                    entries = (
-                        page.colview().entry_slots(step.axis)
-                        if batched
-                        else speculative_entries(page, step.axis)
-                    )
-                    for border_slot in entries:
+                    for border_slot in page.colview().entry_slots(step.axis):
                         ctx.charge_instance()
                         ctx.stats.speculative_instances += 1
                         if ctx.tracer is not None:

@@ -5,15 +5,13 @@ extends them by one step using *full-tree* navigation — every border
 crossing pays a swizzle and, on a miss, synchronous I/O immediately.
 This is the baseline the cost-sensitive plans are measured against.
 
-Like :class:`~repro.algebra.xstep.XStep`, the operator carries two
-kernels selected once by ``EvalOptions.batched``: the scalar kernel
-drives :func:`~repro.algebra.fullnav.full_axis` one record at a time;
-the batched kernel replays the identical traversal — same candidate
-orders, same hop/test charges, same buffer fix/unfix sequence and
-therefore the same simulated I/O timeline — over per-page
-:class:`~repro.storage.colview.ColumnView` candidate arrays.  Steps with
-predicates always take the scalar kernel (predicate evaluation is
-recursive full-tree navigation).
+The kernel runs the traversal of
+:func:`~repro.algebra.fullnav.full_axis` — same candidate orders, same
+hop/test charges, same buffer fix/unfix sequence and therefore the same
+simulated I/O timeline — over per-page
+:class:`~repro.storage.colview.ColumnView` candidate arrays.  Step
+predicates are evaluated per node-test match through
+:func:`~repro.algebra.fullnav.predicate_holds`.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from typing import Iterator
 
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
-from repro.algebra.fullnav import full_axis, predicate_holds
+from repro.algebra.fullnav import predicate_holds
 from repro.algebra.pathinstance import PathInstance
 from repro.algebra.steps import CompiledStep
 from repro.storage.nodeid import page_of, slot_of
@@ -31,7 +29,7 @@ from repro.storage.nodeid import page_of, slot_of
 class UnnestMap(Operator):
     """Extend complete path instances by one location step."""
 
-    __slots__ = ("producer", "step_index", "step", "_batched")
+    __slots__ = ("producer", "step_index", "step")
 
     def __init__(
         self,
@@ -44,7 +42,6 @@ class UnnestMap(Operator):
         self.producer = producer
         self.step_index = step_index
         self.step = step
-        self._batched = ctx.options.batched and not step.predicates
 
     def open(self) -> None:
         self.producer.open()
@@ -55,38 +52,6 @@ class UnnestMap(Operator):
         self.producer.close()
 
     def _produce(self) -> Iterator[PathInstance]:
-        if self._batched:
-            return self._produce_batched()
-        return self._produce_scalar()
-
-    def _produce_scalar(self) -> Iterator[PathInstance]:
-        ctx = self.ctx
-        step = self.step
-        match = step.match
-        for p in self.producer:
-            assert p.page_no is not None and not p.is_border
-            for page_no, slot in full_axis(ctx, p.page_no, p.slot, step.axis):
-                record = ctx.segment.page(page_no).record(slot)
-                ctx.charge_test()
-                if not match(record.kind, record.tag):
-                    continue
-                if any(
-                    not predicate_holds(ctx, page_no, slot, predicate)
-                    for predicate in step.predicates
-                ):
-                    continue
-                ctx.charge_instance()
-                yield PathInstance(
-                    s_l=p.s_l,
-                    n_l=p.n_l,
-                    left_open=False,
-                    s_r=self.step_index,
-                    slot=slot,
-                    is_border=False,
-                    page_no=page_no,
-                )
-
-    def _produce_batched(self) -> Iterator[PathInstance]:
         """Full-tree traversal over columnar candidate batches.
 
         Replays :func:`~repro.algebra.fullnav.full_axis` exactly: an
@@ -94,21 +59,24 @@ class UnnestMap(Operator):
         memoized :class:`~repro.storage.colview.ColumnView` batch with
         its charge shape, node tests precomputed by one ``match_batch``
         call per stream.  A border candidate crosses eagerly — the
-        stream's position is saved, the buffer unfixes/fixes exactly as
-        the scalar walk does, and a resume stream is pushed.
+        stream's position is saved, the buffer unfixes/fixes, and a
+        resume stream is pushed.
 
         Clock values accumulate in locals and stats/tracer counters in
-        integer deltas, flushed before every yield and before every
-        buffer call (``fix``/``unfix`` advance the clock and stamp tracer
-        events with it), then reloaded; the per-charge float additions
-        happen in scalar order, so results, ``Stats`` and simulated time
-        are bit-identical to :meth:`_produce_scalar`.
+        integer deltas, flushed before every yield, every buffer call
+        (``fix``/``unfix`` advance the clock and stamp tracer events with
+        it) and every predicate evaluation (which fixes pages and charges
+        through the ``EvalContext`` helpers), then reloaded; the
+        per-charge float additions happen in charge order, so results,
+        ``Stats`` and simulated time match charging each primitive
+        through the helpers.
         """
         ctx = self.ctx
         step = self.step
         axis = step.axis
         test = step.test
         match_batch = step.match_batch
+        predicates = step.predicates
         step_index = self.step_index
         buffer = ctx.buffer
         clock = ctx.clock
@@ -210,6 +178,25 @@ class UnnestMap(Operator):
                         cpu += cost_test
                         d_tests += 1
                         if flags[index - 1]:
+                            if predicates:
+                                clock.now = now
+                                clock.cpu_time = cpu
+                                if d_hops:
+                                    stats.intra_hops += d_hops
+                                    if tracer is not None:
+                                        tracer.count("intra_hops", d_hops)
+                                stats.node_tests += d_tests
+                                if tracer is not None:
+                                    tracer.count("node_tests", d_tests)
+                                d_hops = d_tests = 0
+                                holds = all(
+                                    predicate_holds(ctx, page_no, slot, predicate)
+                                    for predicate in predicates
+                                )
+                                now = clock.now
+                                cpu = clock.cpu_time
+                                if not holds:
+                                    continue
                             now += cost_instance
                             cpu += cost_instance
                             clock.now = now

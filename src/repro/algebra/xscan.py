@@ -23,7 +23,6 @@ from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
 from repro.algebra.pathinstance import PathInstance
 from repro.algebra.steps import CompiledStep
-from repro.storage.nav import speculative_entries
 from repro.storage.nodeid import make_nodeid
 from repro.storage.pathsummary import PathPostings
 from repro.storage.store import StoredDocument
@@ -128,7 +127,6 @@ class XScan(Operator):
             if skips:
                 page_nos = [p for p in page_nos if p not in skips]
         readahead = ctx.options.scan_readahead
-        batched = ctx.options.batched
         issued = 0
         for index, page_no in enumerate(page_nos):
             if ctx.fallback:
@@ -180,14 +178,9 @@ class XScan(Operator):
                     if ctx.tracer is not None:
                         ctx.tracer.count("pathsummary_entries_pruned")
                     continue
-                # the columnar view's precomputed border lists replace the
-                # record scan; enumeration charges nothing in either mode
-                entries = (
-                    frame.page.colview().entry_slots(step.axis)
-                    if batched
-                    else speculative_entries(frame.page, step.axis)
-                )
-                for border_slot in entries:
+                # enumerating the view's precomputed border lists
+                # charges nothing
+                for border_slot in frame.page.colview().entry_slots(step.axis):
                     ctx.charge_instance()
                     ctx.stats.speculative_instances += 1
                     if ctx.tracer is not None:

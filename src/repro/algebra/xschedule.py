@@ -33,7 +33,6 @@ from repro.algebra.context import EvalContext
 from repro.algebra.pathinstance import PathInstance
 from repro.algebra.steps import CompiledStep
 from repro.errors import IOError_
-from repro.storage.nav import speculative_entries
 from repro.storage.nodeid import NodeID, make_nodeid, page_of, slot_of
 from repro.storage.pathsummary import PathPostings
 from repro.storage.store import StoredDocument
@@ -386,7 +385,6 @@ class XSchedule(Operator):
         page_no = page.page_no
         synopsis = self.synopsis
         postings = self.postings
-        batched = ctx.options.batched
         for step_index, step in enumerate(self.steps):
             if synopsis is not None and not synopsis.can_contribute(page_no, step):
                 # no entry of this cluster can extend this step
@@ -402,12 +400,7 @@ class XSchedule(Operator):
                 if ctx.tracer is not None:
                     ctx.tracer.count("pathsummary_entries_pruned")
                 continue
-            entries = (
-                page.colview().entry_slots(step.axis)
-                if batched
-                else speculative_entries(page, step.axis)
-            )
-            for border_slot in entries:
+            for border_slot in page.colview().entry_slots(step.axis):
                 ctx.charge_instance()
                 ctx.stats.speculative_instances += 1
                 if ctx.tracer is not None:

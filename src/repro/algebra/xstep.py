@@ -16,26 +16,21 @@ from typing import Iterator
 
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
-from repro.algebra.fullnav import full_axis
+from repro.algebra.fullnav import full_step
 from repro.algebra.pathinstance import PathInstance
 from repro.algebra.steps import CompiledStep
 from repro.errors import PlanError
-from repro.storage.nav import iter_axis, iter_resume
 
 
 class XStep(Operator):
     """Extend path instances by step ``step_index`` without leaving the cluster.
 
-    Two intra-cluster kernels are available, selected once at
-    construction by ``EvalOptions.batched``: the scalar kernel walks nav
-    generators one record at a time; the batched kernel
-    (:meth:`_produce_batched`) evaluates each extension against the
-    page's :class:`~repro.storage.colview.ColumnView` — whole candidate
-    array first, charges replayed after — with bit-identical results,
-    ``Stats`` and simulated timings.
+    Each extension is evaluated against the page's
+    :class:`~repro.storage.colview.ColumnView`: the whole candidate
+    array first, node-tested in one batch, charges replayed after.
     """
 
-    __slots__ = ("producer", "step_index", "step", "_batched")
+    __slots__ = ("producer", "step_index", "step")
 
     def __init__(
         self,
@@ -53,7 +48,6 @@ class XStep(Operator):
         self.producer = producer
         self.step_index = step_index
         self.step = step
-        self._batched = ctx.options.batched
 
     def open(self) -> None:
         self.producer.open()
@@ -65,46 +59,26 @@ class XStep(Operator):
 
     # ------------------------------------------------------------- pipeline
 
-    def _applicable(self, p: PathInstance) -> bool:
-        if p.s_r != self.step_index - 1:
-            return False
-        # a paused (right-incomplete) instance is only applicable when the
-        # I/O operator re-delivered it at its entry border (resumed)
-        return not p.is_border or p.resumed
-
     def _produce(self) -> Iterator[PathInstance]:
-        if self._batched:
-            return self._produce_batched()
-        return self._produce_scalar()
-
-    def _produce_scalar(self) -> Iterator[PathInstance]:
-        for p in self.producer:
-            if not self._applicable(p):
-                yield p
-                continue
-            if self.ctx.fallback:
-                yield from self._extend_full(p)
-            else:
-                yield from self._extend_intra(p)
-
-    def _produce_batched(self) -> Iterator[PathInstance]:
         """Batch-at-a-time pipeline over the pinned page's columnar view.
 
-        Candidate discovery charges nothing (pure page reads, and the
-        page stays pinned for the whole extension), so the full candidate
-        array of each (instance, step) extension is computed eagerly from
-        the :class:`~repro.storage.colview.ColumnView` and node-tested
-        with one ``match_batch`` call.  The simulated charges are then
-        replayed candidate-for-candidate in the flat emit loop below, in
-        exactly the order :meth:`_extend_intra` fires them.  Clock values
-        accumulate in locals and stats/tracer increments in integer
-        deltas; both flush *before every yield* and at batch end, and the
-        clock locals reload after each yield (the consumer advances the
-        clock between pulls).  Charges between two consecutive yields are
-        atomic with respect to the consumer in both kernels, so the
-        observable timeline — results, ``Stats``, simulated time — is
-        bit-identical, without the per-candidate generator traffic,
-        method calls and record-object access of the scalar path.
+        An instance is applicable when it ends at the previous step and
+        is either complete or a paused instance the I/O operator
+        re-delivered at its entry border (resumed); all others pass
+        through.  Candidate discovery charges nothing (pure page reads,
+        and the page stays pinned for the whole extension), so the full
+        candidate array of each (instance, step) extension is computed
+        eagerly from the :class:`~repro.storage.colview.ColumnView` and
+        node-tested with one ``match_batch`` call.  The simulated charges
+        are then replayed candidate-for-candidate in the flat emit loop
+        below: a hop per candidate past ``free_head`` (plus the upfront
+        hops), a node test per core candidate, and an instance per result
+        or deferred border.  Clock values accumulate in locals and
+        stats/tracer increments in integer deltas; both flush *before
+        every yield* and at batch end, and the clock locals reload after
+        each yield (the consumer advances the clock between pulls).  The
+        float additions happen in charge order, so simulated time matches
+        charging each primitive through the ``EvalContext`` helpers.
         """
         ctx = self.ctx
         step = self.step
@@ -231,76 +205,13 @@ class XStep(Operator):
                 if tracer is not None:
                     tracer.count("node_tests", d_tests)
 
-    def _extend_intra(self, p: PathInstance) -> Iterator[PathInstance]:
-        ctx = self.ctx
-        page = self._pinned_page(p)
-        if p.resumed:
-            nav = iter_resume(page, p.slot, self.step.axis, ctx.charge_hop)
-        else:
-            nav = iter_axis(page, p.slot, self.step.axis, ctx.charge_hop)
-        test = self.step.match
-        # the innermost loop of every navigational plan: bind everything
-        # once and inline charge_test/charge_instance (same simulated
-        # amounts, no method-call overhead per candidate)
-        records = page.records
-        page_no = page.page_no
-        clock = ctx.clock
-        stats = ctx.stats
-        tracer = ctx.tracer
-        cost_test = ctx._cost_test
-        cost_instance = ctx._cost_instance
-        s_l, n_l, left_open = p.s_l, p.n_l, p.left_open
-        step_index = self.step_index
-        for is_border, slot in nav:
-            if is_border:
-                stats.border_crossings_deferred += 1
-                stats.instances_created += 1
-                clock.now += cost_instance
-                clock.cpu_time += cost_instance
-                if tracer is not None:
-                    tracer.count("border_crossings_deferred")
-                    tracer.count("instances_created")
-                yield PathInstance(
-                    s_l=s_l,
-                    n_l=n_l,
-                    left_open=left_open,
-                    s_r=step_index - 1,
-                    slot=slot,
-                    is_border=True,
-                    page_no=page_no,
-                )
-            else:
-                record = records[slot]
-                clock.now += cost_test
-                clock.cpu_time += cost_test
-                stats.node_tests += 1
-                if tracer is not None:
-                    tracer.count("node_tests")
-                if test(record.kind, record.tag):
-                    clock.now += cost_instance
-                    clock.cpu_time += cost_instance
-                    stats.instances_created += 1
-                    if tracer is not None:
-                        tracer.count("instances_created")
-                    yield PathInstance(
-                        s_l=s_l,
-                        n_l=n_l,
-                        left_open=left_open,
-                        s_r=step_index,
-                        slot=slot,
-                        is_border=False,
-                        page_no=page_no,
-                    )
-
     def _extend_full(self, p: PathInstance) -> Iterator[PathInstance]:
         """Fallback: unrestricted navigation, as an Unnest-Map would do."""
         ctx = self.ctx
         assert p.page_no is not None
-        test = self.step.match
-        for page_no, slot in full_axis(ctx, p.page_no, p.slot, self.step.axis, resumed=p.resumed):
-            record = ctx.segment.page(page_no).record(slot)
+        for page_no, slot, matched in full_step(ctx, p.page_no, p.slot, self.step, p.resumed):
             ctx.charge_test()
-            if test(int(record.kind), record.tag):
+            if matched:
                 ctx.charge_instance()
                 yield PathInstance(
                     s_l=p.s_l,

@@ -95,7 +95,6 @@ class ReplintConfig:
         {
             "tracer",
             "synopsis",
-            "batched",
             "faults",
             "wal",
             "crash",

@@ -17,10 +17,10 @@ Three interprocedural checks over the project call graph:
   (a logical read, a disk submission, a buffer hit) has exactly one
   owning charge site.  CPU-work counters (``node_tests``, ``merges``,
   ``instances_created``...) are charged per occurrence at many sites by
-  design — the batched kernels replay the scalar charge sequence while
-  their exclusive fallback branches charge through the ``charge_*``
-  helpers — so they are exempt here and policed by ``tracer-mirror``
-  and the runtime charge sanitizer instead.
+  design — the column-view kernels accumulate them in local deltas
+  while full-tree navigation charges through the ``charge_*`` helpers
+  — so they are exempt here and policed by ``tracer-mirror`` and the
+  runtime charge sanitizer instead.
 * **missed charge** (entry-point completeness) — the contracted entry
   points must charge their counter sets directly or transitively.
 * **charge pairing** — a direct ``buffer_misses`` charge implies a

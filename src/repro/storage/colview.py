@@ -1,10 +1,13 @@
 """Columnar cluster views: parallel-array mirrors of a page's records.
 
-The batch-at-a-time datapath (``EvalOptions.batched``) evaluates a whole
-location-step extension against arrays instead of chasing record objects:
-a :class:`ColumnView` mirrors one :class:`~repro.storage.page.Page` as
-parallel columns of node kinds, tag ids, parent/holder slot links, a CSR
-flattening of the child-slot lists, and per-border direction flags.
+The query datapath evaluates a whole location-step extension against
+arrays instead of chasing record objects: a :class:`ColumnView` mirrors
+one :class:`~repro.storage.page.Page` as parallel columns of node kinds,
+tag ids, parent/holder slot links, a CSR flattening of the child-slot
+lists, and per-border direction flags.  Every query operator navigates
+through these views — XStep's intra-cluster kernel, UnnestMap's and
+fallback mode's full-tree walks, predicate evaluation, and the
+speculative entry enumeration of XScan/XSchedule/shared scans.
 
 Views are built lazily on first hot access (:meth:`Page.colview
 <repro.storage.page.Page.colview>`) and are *invalidated*, never patched:
@@ -14,13 +17,13 @@ mutation in :mod:`repro.storage.update` calls
 long as mutations go through those two doors — the coherence rule the
 storage docs spell out.
 
-Candidate discovery here is the charge-free half of the batched kernel:
+Candidate discovery here is charge-free:
 :meth:`ColumnView.axis_candidates` / :meth:`ColumnView.resume_candidates`
-return the *complete* candidate slot array of one ``iter_axis`` /
-``iter_resume`` enumeration (same order, same corrupt-store exceptions),
-plus the charge shape ``(upfront_hops, free_head)`` that lets
-``XStep`` replay the scalar path's ``intra_hop`` charges
-candidate-for-candidate.  The charge-shape contract:
+return the *complete* candidate slot array of one axis enumeration from
+a core node / an entry border, plus the charge shape
+``(upfront_hops, free_head)`` from which the operators replay
+``intra_hop`` charges candidate-for-candidate.  The charge-shape
+contract:
 
 * ``upfront_hops`` hop charges fire before the first candidate (and even
   when the candidate array is empty) — the sibling axes' holder lookup;
@@ -28,9 +31,10 @@ candidate-for-candidate.  The charge-shape contract:
   results and the sibling cluster-root short-circuit);
 * every remaining candidate carries exactly one hop charge.
 
-``repro.storage.nav`` remains the semantic reference; any change to its
-candidate orders or charge placement must be mirrored here (the batched
-equivalence property test enforces this bit-for-bit).
+:mod:`repro.storage.nav` implements the same primitives as record-object
+generators and serves as the test reference: ``tests/storage/test_colview.py``
+checks candidate orders, charge counts and corrupt-store exceptions of
+every slot and axis against it.
 """
 
 from __future__ import annotations
@@ -482,10 +486,15 @@ class ColumnView:
     # ---------------------------------------------------------- speculation
 
     def entry_slots(self, axis: Axis) -> list[int]:
-        """Precomputed :func:`~repro.storage.nav.speculative_entries`.
+        """Border slots (ascending) at which a paused ``axis`` step could
+        enter this page — one speculative left-incomplete instance each
+        (paper Sec. 5.4.3).
 
-        Border slots (ascending) at which a paused ``axis`` step could
-        enter this page.  The returned list is shared — do not mutate.
+        Downward steps enter through upward borders (including proxies),
+        upward steps through downward borders, and sibling steps through
+        every border; a ``self`` step never pauses.  Mirrors
+        :func:`repro.storage.nav.speculative_entries`.  The returned list
+        is shared — do not mutate.
         """
         if axis is Axis.SELF:
             return _EMPTY

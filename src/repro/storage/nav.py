@@ -12,19 +12,20 @@ generators over page records:
   targets.  The effective semantics per axis are documented in
   :data:`repro.axes.RESUME_AXIS`.
 * :func:`speculative_entries` — the border records of a page at which a
-  given axis could enter, used by XScan/XSchedule to generate
-  left-incomplete path instances (paper Sec. 5.4.3).
+  given axis could enter: where XScan/XSchedule generate left-incomplete
+  path instances (paper Sec. 5.4.3).
 
 Every traversed intra-cluster edge charges one ``intra_hop`` through the
 ``charge`` callback; node tests are applied (and charged) by the caller,
 because border candidates cannot be tested before crossing.
 
-This module is the *semantic reference* for the batched datapath:
-:class:`repro.storage.colview.ColumnView` replicates these generators'
-candidate orders, charge placements and corrupt-store exceptions as
-eager array computations.  Any change to an iteration order or a
-``charge()`` site here must be mirrored there (the batched/scalar
-equivalence property test pins the contract bit-for-bit).
+This module is a test reference; no query path calls it.  The operators
+navigate :class:`repro.storage.colview.ColumnView` batches, which
+replicate these generators' candidate orders, charge placements and
+corrupt-store exceptions as eager array computations
+(``tests/storage/test_colview.py`` checks every slot and axis).  A
+change to an iteration order or a ``charge()`` site must be made on
+both sides.
 """
 
 from __future__ import annotations
@@ -308,14 +309,14 @@ def _resume_sibling(
 def speculative_entries(page: Page, axis: Axis) -> Iterator[int]:
     """Border slots of ``page`` at which a paused ``axis`` step could enter.
 
-    Used by XScan (and speculative XSchedule) to generate left-incomplete
-    path instances: one per entry border per step (paper Sec. 5.4.3).
+    XScan (and speculative XSchedule) generate one left-incomplete path
+    instance per entry border per step (paper Sec. 5.4.3).
 
     A ``self`` step can never pause at a border (it yields only its own
     core node), so no junction for it can ever be proven: no entries.
 
-    The batched datapath serves the same enumeration from the columnar
-    view's precomputed border lists
+    The operators serve the same enumeration from the columnar view's
+    precomputed border lists
     (:meth:`~repro.storage.colview.ColumnView.entry_slots`); both sides
     must keep yielding ascending slot order and charging nothing.
     """

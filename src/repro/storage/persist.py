@@ -454,27 +454,28 @@ def load_store(path: str) -> DocumentStore:
     files that are truncated, torn, or fail the v3 body checksum.
     """
     with open(path, "rb") as inp:
-        if inp.read(4) != _MAGIC:
-            raise StorageError(f"{path} is not a repro store file")
-        version, page_size = struct.unpack(
-            "<HI", _read_exact(inp, 6, "store header")
+        return _read_image(inp, path)
+
+
+def _read_image(inp: BinaryIO, name: str) -> DocumentStore:
+    """Parse a whole store image from ``inp``; ``name`` labels errors."""
+    if inp.read(4) != _MAGIC:
+        raise StorageError(f"{name} is not a repro store file")
+    version, page_size = struct.unpack("<HI", _read_exact(inp, 6, "store header"))
+    if not _MIN_VERSION <= version <= _VERSION:
+        raise StorageError(f"unsupported store version {version}")
+    checkpoint_lsn = 0
+    if version >= 3:
+        checkpoint_lsn, body_crc, body_len = _HEADER_V3.unpack(
+            _read_exact(inp, _HEADER_V3.size, "store header checksum block")
         )
-        if not _MIN_VERSION <= version <= _VERSION:
-            raise StorageError(f"unsupported store version {version}")
-        checkpoint_lsn = 0
-        if version >= 3:
-            checkpoint_lsn, body_crc, body_len = _HEADER_V3.unpack(
-                _read_exact(inp, _HEADER_V3.size, "store header checksum block")
+        body = _read_exact(inp, body_len, "store body")
+        if zlib.crc32(body) != body_crc:
+            raise StoreCorruptError(
+                f"store body checksum mismatch in {name}: the checkpoint "
+                "image is torn or damaged"
             )
-            body = _read_exact(inp, body_len, "store body")
-            if zlib.crc32(body) != body_crc:
-                raise StoreCorruptError(
-                    f"store body checksum mismatch in {path}: the checkpoint "
-                    "image is torn or damaged"
-                )
-            src: BinaryIO = io.BytesIO(body)
-        else:
-            src = inp
-        store = _read_body(src, version, page_size)
-        store.checkpoint_lsn = checkpoint_lsn
-        return store
+        inp = io.BytesIO(body)
+    store = _read_body(inp, version, page_size)
+    store.checkpoint_lsn = checkpoint_lsn
+    return store

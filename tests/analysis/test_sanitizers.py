@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.algebra.context import EvalContext, EvalOptions
+from repro.algebra.context import EvalContext
 from repro.analysis.sanitize import ALL_MODES, SanitizerError, modes
 from repro.model.tree import Kind
 from repro.obs.tracer import Tracer
@@ -25,9 +25,10 @@ from repro.storage.record import CoreRecord
 from repro.storage.update import update_value
 from tests.conftest import small_database
 
-#: forces the scalar navigation path, whose charges flow through the
-#: EvalContext.charge_* helpers the charge tests seed bugs into
-SCALAR = EvalOptions(batched=False)
+#: a predicate under the Simple plan: predicate evaluation navigates
+#: full-tree and charges its hops through EvalContext.charge_hop, the
+#: helper the charge tests seed bugs into
+CHARGE_HOP_QUERY = "//a[b]"
 
 
 @pytest.fixture(autouse=True)
@@ -117,7 +118,7 @@ def test_charge_sanitizer_catches_unmirrored_charge(monkeypatch):
     monkeypatch.setattr(EvalContext, "charge_hop", unmirrored_charge_hop)
     db, _ = small_database()
     with pytest.raises(SanitizerError, match="intra_hops"):
-        db.execute("//a/b", doc="d", plan="xscan", options=SCALAR)
+        db.execute(CHARGE_HOP_QUERY, doc="d", plan="simple")
 
 
 def test_charge_sanitizer_catches_double_charge(monkeypatch):
@@ -131,7 +132,7 @@ def test_charge_sanitizer_catches_double_charge(monkeypatch):
     monkeypatch.setattr(EvalContext, "charge_hop", double_charge_hop)
     db, _ = small_database()
     with pytest.raises(SanitizerError, match="intra_hops"):
-        db.execute("//a/b", doc="d", plan="xscan", options=SCALAR)
+        db.execute(CHARGE_HOP_QUERY, doc="d", plan="simple")
 
 
 def test_charge_sanitizer_catches_clock_identity_breach(monkeypatch):
@@ -145,7 +146,7 @@ def test_charge_sanitizer_catches_clock_identity_breach(monkeypatch):
     monkeypatch.setattr(EvalContext, "charge_hop", untracked_time)
     db, _ = small_database()
     with pytest.raises(SanitizerError, match="clock identity"):
-        db.execute("//a/b", doc="d", plan="xscan", options=SCALAR)
+        db.execute(CHARGE_HOP_QUERY, doc="d", plan="simple")
 
 
 # ---------------------------------------------------- determinism sanitizer
@@ -252,7 +253,7 @@ def test_failures_land_in_the_report_artifact(monkeypatch, tmp_path):
     monkeypatch.setattr(EvalContext, "charge_hop", unmirrored_charge_hop)
     db, _ = small_database()
     with pytest.raises(SanitizerError):
-        db.execute("//a/b", doc="d", plan="xscan", options=SCALAR)
+        db.execute(CHARGE_HOP_QUERY, doc="d", plan="simple")
     lines = report.read_text(encoding="utf-8").splitlines()
     assert lines
     record = json.loads(lines[0])

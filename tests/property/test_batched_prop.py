@@ -1,22 +1,16 @@
-"""Property: the batched datapath is invisible, bit for bit.
+"""Property: tracing the batch-at-a-time kernels changes nothing.
 
-Unlike the synopsis (whose pruning legitimately changes I/O counters),
-batch-at-a-time execution is a pure CPU reorganisation of the scalar
-kernels: for any random document, physical layout, location path (every
-axis), physical plan and fault profile — and for every XMark paper
-query — ``batched=True`` must return the same results, the same
-``Stats`` tick-for-tick and the same simulated time as
-``batched=False``.  A tracer attached to a batched run must still
-reconcile counter-for-counter against ``Stats``.
+The column-view kernels flush counter deltas and emit per-batch span
+events; a tracer attached to a run must still reconcile
+counter-for-counter against ``Stats`` and must not perturb results or
+simulated time.  (Bit-identity of the kernels themselves is pinned by
+the golden fixtures, ``tests/integration/test_datapath_golden.py``.)
 """
-
-import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PROFILES, Database, EvalOptions, ImportOptions, Tracer
-from repro.xmark import PAPER_QUERIES, generate_xmark
+from repro import Database, ImportOptions, Tracer
 from tests.conftest import make_random_tree
 
 AXES = [
@@ -61,20 +55,6 @@ def _store(seed: int, fragmentation: float):
     return _STORE_CACHE[key]
 
 
-def _xmark_store(fragmentation: float):
-    key = ("xmark", fragmentation)
-    if key not in _STORE_CACHE:
-        db = Database(page_size=2048, buffer_pages=64)
-        tree = generate_xmark(scale=0.01, tags=db.tags, seed=0)
-        db.add_tree(
-            tree,
-            "d",
-            ImportOptions(page_size=2048, fragmentation=fragmentation, seed=0),
-        )
-        _STORE_CACHE[key] = db.store
-    return _STORE_CACHE[key]
-
-
 def _outcome(result):
     if result.value is not None:
         return ("value", result.value)
@@ -85,64 +65,6 @@ def _assert_identical(on, off, context):
     assert _outcome(on) == _outcome(off), context
     assert on.stats.as_dict() == off.stats.as_dict(), context
     assert on.total_time == off.total_time, context
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=7),
-    fragmentation=st.sampled_from([0.0, 0.7, 1.0]),
-    plan=st.sampled_from(PLANS),
-    speculative=st.booleans(),
-    path=location_paths(),
-)
-def test_batched_run_is_bit_identical(seed, fragmentation, plan, speculative, path):
-    store = _store(seed, fragmentation)
-    results = {}
-    for batched in (True, False):
-        db = Database(page_size=512, buffer_pages=48, store=store)
-        options = EvalOptions(speculative=speculative, batched=batched)
-        results[batched] = db.execute(path, doc="d", plan=plan, options=options)
-    _assert_identical(results[True], results[False], (plan, path))
-
-
-@settings(max_examples=8, deadline=None)
-@given(
-    fragmentation=st.sampled_from([0.0, 1.0]),
-    plan=st.sampled_from(PLANS),
-)
-def test_xmark_queries_are_bit_identical(fragmentation, plan):
-    """Every paper query shape, both layouts, all four plans."""
-    store = _xmark_store(fragmentation)
-    for _, _, query in PAPER_QUERIES:
-        results = {}
-        for batched in (True, False):
-            db = Database(page_size=2048, buffer_pages=64, store=store)
-            results[batched] = db.execute(
-                query, doc="d", plan=plan, options=EvalOptions(batched=batched)
-            )
-        _assert_identical(results[True], results[False], (plan, query))
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    plan=st.sampled_from(PLANS),
-    profile_name=st.sampled_from([n for n in PROFILES if n != "none"]),
-    fault_seed=st.integers(min_value=0, max_value=25),
-    path=location_paths(),
-)
-def test_batched_is_bit_identical_under_faults(plan, profile_name, fault_seed, path):
-    """Retries, latency spikes and lost requests replay identically:
-    the batched kernels issue the same fix/unfix sequence at the same
-    simulated instants, so the fault dice roll the same on both sides."""
-    store = _store(3, 0.7)
-    profile = dataclasses.replace(PROFILES[profile_name], seed=fault_seed)
-    results = {}
-    for batched in (True, False):
-        db = Database(page_size=512, buffer_pages=48, store=store, faults=profile)
-        results[batched] = db.execute(
-            path, doc="d", plan=plan, options=EvalOptions(batched=batched)
-        )
-    _assert_identical(results[True], results[False], (plan, profile_name, path))
 
 
 @settings(max_examples=20, deadline=None)
@@ -157,11 +79,11 @@ def test_batched_trace_reconciles_and_does_not_perturb(seed, plan, path):
     reconciles counter-for-counter against ``Stats``."""
     store = _store(seed, 1.0)
     vanilla = Database(page_size=512, buffer_pages=48, store=store).execute(
-        path, doc="d", plan=plan, options=EvalOptions(batched=True)
+        path, doc="d", plan=plan
     )
     traced = Database(
         page_size=512, buffer_pages=48, store=store, tracer=Tracer()
-    ).execute(path, doc="d", plan=plan, options=EvalOptions(batched=True))
+    ).execute(path, doc="d", plan=plan)
     _assert_identical(traced, vanilla, (plan, path))
     assert traced.trace_summary is not None
     mismatches = traced.trace_summary.reconcile(traced.stats)

@@ -17,13 +17,16 @@ Two layers of guarantees:
 
 import pytest
 
-from repro import Database, EvalOptions, ImportOptions
+from repro import Database, ImportOptions
 from repro.axes import Axis
 from repro.model.tree import Kind
 from repro.storage.colview import KIND_BORDER, KIND_TOMBSTONE, ColumnView
 from repro.storage.nav import iter_axis, iter_resume, speculative_entries
 from repro.storage.record import CoreRecord
+from repro.storage.store import export_tree
 from repro.storage.update import delete_subtree, insert_node
+from repro.xpath.parser import parse_path
+from repro.xpath.reference import evaluate_path
 
 from tests.conftest import make_random_tree
 
@@ -217,37 +220,52 @@ def test_add_reusing_tombstoned_slot_invalidates_view():
     assert page.colview().kinds[slot] >= 0
 
 
-def _names(db, query, batched):
-    result = db.execute(
-        query, doc="d", plan="simple", options=EvalOptions(batched=batched)
-    )
-    return [db.node_info(nid)[1] for nid in result.nodes]
+def _drop_views(db):
+    for page_no in db.document("d").page_nos:
+        db.store.segment.page(page_no).invalidate_colview()
+
+
+def _check_fresh(db, query, plan="simple"):
+    """``query`` agrees with the reference evaluator on the store's
+    exported tree, and with a rerun after every page's view is dropped.
+    Returns the result's element names."""
+    doc = db.document("d")
+    result = db.execute(query, doc="d", plan=plan)
+    tree = export_tree(db.store, doc)
+    expected = [tree.tag_name(n) for n in evaluate_path(tree, parse_path(query))]
+    names = [db.node_info(nid)[1] for nid in result.nodes]
+    assert names == expected, (plan, query)
+    _drop_views(db)
+    rerun = db.execute(query, doc="d", plan=plan)
+    assert rerun.nodes == result.nodes, (plan, query)
+    assert rerun.total_time == result.total_time, (plan, query)
+    return names
 
 
 def test_update_then_query_sees_fresh_columns():
-    """End-to-end: delete + insert (reusing slots) between batched
-    queries returns exactly the scalar (pre-refactor) results."""
+    """End-to-end: delete + insert (reusing slots) between queries
+    returns exactly what the reference evaluator and view-less reruns
+    return."""
     db = Database(page_size=512, buffer_pages=32)
     db.load_xml("<root><a>one</a><b/><c>two</c></root>", "d")
     doc = db.document("d")
-    assert _names(db, "/root/*", batched=True) == ["a", "b", "c"]
+    assert _check_fresh(db, "/child::root/*") == ["a", "b", "c"]
     b = db.execute("/root/b", doc="d", plan="simple").nodes[0]
     delete_subtree(db.store, doc, b)
-    assert _names(db, "/root/*", batched=True) == ["a", "c"]
+    assert _check_fresh(db, "/child::root/*") == ["a", "c"]
     root = db.execute("/root", doc="d", plan="simple").nodes[0]
     insert_node(db.store, doc, root, 2, "z")
-    for query in ("/root/*", "/root/z", "//z"):
-        batched = _names(db, query, batched=True)
-        scalar = _names(db, query, batched=False)
-        assert batched == scalar, query
-    assert _names(db, "/root/*", batched=True) == ["a", "c", "z"]
+    for query in ("/child::root/*", "/child::root/z", "//z"):
+        _check_fresh(db, query)
+    assert _check_fresh(db, "/child::root/*") == ["a", "c", "z"]
 
 
-def test_random_update_storm_keeps_batched_scalar_identical():
-    """Many structural updates; after each, batched == scalar results."""
+def test_random_update_storm_matches_reference():
+    """Many structural updates; after each, every plan agrees with the
+    reference evaluator and with a view-less rerun."""
     db = build_db(page_size=512)
     doc = db.document("d")
-    queries = ("//a", "/root/*", "//b//c", "//e")
+    queries = ("//a", "/child::root/*", "//b//c", "//e")
     for round_no in range(6):
         victims = db.execute("//a", doc="d", plan="simple").nodes
         if victims:
@@ -255,7 +273,5 @@ def test_random_update_storm_keeps_batched_scalar_identical():
         roots = db.execute("/root", doc="d", plan="simple").nodes
         insert_node(db.store, doc, roots[0], 0, "a")
         for query in queries:
-            on = db.execute(query, doc="d", options=EvalOptions(batched=True))
-            off = db.execute(query, doc="d", options=EvalOptions(batched=False))
-            assert sorted(on.nodes) == sorted(off.nodes), (round_no, query)
-            assert on.total_time == off.total_time, (round_no, query)
+            for plan in ("simple", "xschedule", "xscan"):
+                _check_fresh(db, query, plan)

@@ -7,6 +7,7 @@ with offset context, and non-store files raise
 :class:`~repro.errors.StorageError`.
 """
 
+import io
 import struct
 
 import pytest
@@ -19,6 +20,13 @@ from repro.storage.store import check_document
 from tests.conftest import small_database
 
 
+def load_image(data: bytes):
+    """Load a store image from memory: the sweeps below damage thousands
+    of images, and the parser is the same one :func:`load_store` runs on
+    the opened file."""
+    return persist._read_image(io.BytesIO(data), "image")
+
+
 @pytest.fixture
 def saved(tmp_path):
     db, _ = small_database(seed=91, n_top=25)
@@ -27,18 +35,16 @@ def saved(tmp_path):
     return db, path, open(path, "rb").read()
 
 
-def test_truncation_at_every_boundary(saved, tmp_path):
-    """Sweep truncation points across the whole file: header, checksum
+def test_truncation_at_every_boundary(saved):
+    """Sweep truncation points across the whole image: header, checksum
     block, and (via the v2 variant below) every body section."""
     _, path, data = saved
-    target = str(tmp_path / "cut.rpro")
     # every header byte, then a stride through the body
     cuts = list(range(len(data) - 1, 0, -max(1, len(data) // 200)))
     cuts.extend(range(min(64, len(data))))
     for cut in cuts:
-        open(target, "wb").write(data[:cut])
         with pytest.raises((StoreCorruptError, StorageError)) as err:
-            load_store(target)
+            load_image(data[:cut])
         # offset context or a typed message, never a raw struct error
         assert "store" in str(err.value)
 
@@ -51,11 +57,9 @@ def test_truncation_inside_v2_body_sections(saved, tmp_path, monkeypatch):
     path = str(tmp_path / "v2.rpro")
     save_store(db.store, path)
     data = open(path, "rb").read()
-    target = str(tmp_path / "cut2.rpro")
     for cut in range(len(data) - 1, 0, -max(1, len(data) // 300)):
-        open(target, "wb").write(data[:cut])
         with pytest.raises((StoreCorruptError, StorageError)):
-            load_store(target)
+            load_image(data[:cut])
 
 
 def test_truncation_error_reports_offset(saved, tmp_path):
@@ -210,18 +214,15 @@ def test_v4_path_summary_block_truncation_and_bit_rot(saved, tmp_path, monkeypat
             doc.pathsummary = summaries[name]
     summary_bytes = len(data) - len(open(bare, "rb").read())
     assert summary_bytes > 0
-    target = str(tmp_path / "cut4.rpro")
     for cut in range(len(data) - 1, len(data) - summary_bytes, -1):
-        open(target, "wb").write(data[:cut])
         with pytest.raises((StoreCorruptError, StorageError)):
-            load_store(target)
+            load_image(data[:cut])
     # bit-rot anywhere in the summary region trips the body checksum
     for offset in range(len(data) - summary_bytes // 2, len(data), 7):
         corrupt = bytearray(data)
         corrupt[offset] ^= 0x40
-        open(target, "wb").write(bytes(corrupt))
         with pytest.raises(StoreCorruptError):
-            load_store(target)
+            load_image(bytes(corrupt))
 
 
 def test_checkpoint_lsn_round_trips(saved, tmp_path):
