@@ -276,7 +276,7 @@ class EvalContext:
         self.san = None
         #: The cluster currently being processed; maintained (pinned) by
         #: the plan's I/O-performing operator.  All swizzled slot
-        #: references in flight between XStep operators point into it.
+        #: references in flight through the XStep loop point into it.
         self.current_frame: Frame | None = None
         #: Set when XAssembly's memory limit trips (Sec. 5.4.6); operators
         #: poll it and degrade to the Simple method's behaviour.

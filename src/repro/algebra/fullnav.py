@@ -50,7 +50,7 @@ def _walk(
         view = page.colview()
         if step is not None:
             upfront, free_head, cands, flags = view.extension_batch(
-                step.test, step.match_batch, start, axis, resumed
+                step.batch_key, step.match_batch, start, axis, resumed
             )
         else:
             if resumed:

@@ -28,15 +28,7 @@ class ContextScan(Operator):
     def _produce(self) -> Iterator[PathInstance]:
         for nid in self.contexts:
             self.ctx.charge_instance()
-            yield PathInstance(
-                s_l=0,
-                n_l=nid,
-                left_open=False,
-                s_r=0,
-                slot=slot_of(nid),
-                is_border=False,
-                page_no=page_of(nid),
-            )
+            yield PathInstance(0, nid, False, 0, slot_of(nid), False, False, page_of(nid))
 
 
 class DuplicateElimination(Operator):

@@ -3,44 +3,29 @@
 The paper's outlook: "Our method can be easily extended to evaluate
 multiple location paths with a single I/O-performing operator."  This
 module implements that extension for the scan operator: one sequential
-pass over the document drives the XStep chains and XAssembly instances
+pass over the document drives the step loops and XAssembly instances
 of *all* paths — Q7's three descendant counts read the document once
 instead of three times.
 
 Mechanics: the driver performs XScan's physical work (sequential page
-loads, current-cluster pinning).  For every cluster it feeds each path
-its context instances and its speculative left-incomplete instances
-through a per-cluster XStep chain into that path's persistent XAssembly
-(whose R and S state spans the whole scan — re-opening an XAssembly over
-a new producer preserves its execution state by design).
+loads, current-cluster pinning).  For every cluster it hands each path
+its context instances and its speculative left-incomplete instances as
+one list to that path's persistent XAssembly, which runs them through
+the path's steps (whose R and S state spans the whole scan — re-opening
+an XAssembly over a new input preserves its execution state by design).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
 from repro.algebra.pathinstance import PathInstance
 from repro.algebra.xassembly import XAssembly
-from repro.algebra.xstep import XStep
 from repro.errors import BudgetExceededError, PlanError
 from repro.storage.nodeid import NodeID, make_nodeid, page_of, slot_of
 from repro.storage.store import StoredDocument
 from repro.storage.synopsis import cost_effective_skips
-
-
-class _Replay(Operator):
-    """Producer replaying a fixed batch of instances (one cluster's feed)."""
-
-    __slots__ = ("items",)
-
-    def __init__(self, ctx: EvalContext, items: list[PathInstance]) -> None:
-        super().__init__(ctx)
-        self.items = items
-
-    def _produce(self) -> Iterator[PathInstance]:
-        yield from self.items
 
 
 class _PathState:
@@ -53,30 +38,24 @@ class _PathState:
     ) -> None:
         self.steps = steps
         self.postings = postings
-        # the producer is swapped per cluster; XAssembly's R/S survive
+        # the input batch is swapped per cluster; XAssembly's R/S survive
         self.assembly = XAssembly(
-            ctx,
-            producer=_Replay(ctx, []),
-            path_len=len(steps),
-            schedule=None,
-            descendant_root_opt=descendant_root_opt,
+            ctx, [], steps, schedule=None, descendant_root_opt=descendant_root_opt
         )
         self.results: list[NodeID] = []
 
-    def feed(self, ctx: EvalContext, batch: list[PathInstance]) -> None:
-        source: Operator = _Replay(ctx, batch)
-        top = source
-        for index, step in enumerate(self.steps, start=1):
-            top = XStep(ctx, top, index, step)
-        self.assembly.producer = top
-        self.assembly.open()
+    def feed(self, batch: list[PathInstance]) -> None:
+        """Run one cluster's instances through the path's XAssembly."""
+        assembly = self.assembly
+        assembly.producer = batch
+        assembly.open()
         while True:
-            item = self.assembly.next()
+            item = assembly.next()
             if item is None:
                 break
             assert item.page_no is not None
             self.results.append(make_nodeid(item.page_no, item.slot))
-        self.assembly.close()
+        assembly.close()
 
 
 def shared_scan(
@@ -151,10 +130,9 @@ def shared_scan(
 
     try:
         for page_no in page_nos:
-            if not ctx.buffer.is_resident(page_no):
-                pass  # synchronous sequential read below (O_DIRECT semantics)
             frame = ctx.buffer.try_fix_resident(page_no)
             if frame is None:
+                # synchronous sequential read (O_DIRECT semantics)
                 frame = ctx.buffer.fix(page_no)
             ctx.set_current_frame(frame)
             ctx.stats.clusters_visited += 1
@@ -166,15 +144,7 @@ def shared_scan(
                 if page_no == context_cluster:
                     ctx.charge_instance()
                     batch.append(
-                        PathInstance(
-                            s_l=0,
-                            n_l=root,
-                            left_open=False,
-                            s_r=0,
-                            slot=slot_of(root),
-                            is_border=False,
-                            page_no=page_no,
-                        )
+                        PathInstance(0, root, False, 0, slot_of(root), False, False, page_no)
                     )
                 for step_index, step in enumerate(state.steps):
                     if synopsis is not None and not synopsis.can_contribute(
@@ -203,17 +173,17 @@ def shared_scan(
                             ctx.tracer.count("speculative_instances")
                         batch.append(
                             PathInstance(
-                                s_l=step_index,
-                                n_l=make_nodeid(page_no, border_slot),
-                                left_open=True,
-                                s_r=step_index,
-                                slot=border_slot,
-                                is_border=True,
-                                resumed=True,
-                                page_no=page_no,
+                                step_index,
+                                make_nodeid(page_no, border_slot),
+                                True,
+                                step_index,
+                                border_slot,
+                                True,
+                                True,
+                                page_no,
                             )
                         )
-                state.feed(ctx, batch)
+                state.feed(batch)
     except BudgetExceededError as exc:
         # a "partial" budget stops the scan; each path keeps what it has
         if not exc.partial:

@@ -12,9 +12,10 @@ the bookkeeping the operators need:
   speculatively starts at.
 * ``s_r`` — number of completed steps, exactly the paper's ``S_R`` (a
   right-incomplete instance paused inside step ``s_r + 1``).
-* right end — while an instance flows through the XStep chain, its right
-  end is *swizzled*: ``slot`` on the current cluster's page (the frame
-  pinned by the I/O-performing operator).  ``is_border`` marks a paused
+* right end — while an instance is in flight between the I/O-performing
+  operator and XAssembly (whose step loop carries the same fields as
+  plain values), its right end is *swizzled*: ``slot`` on the current
+  cluster's page (the frame pinned by the I/O-performing operator).  ``is_border`` marks a paused
   crossing.  In fallback mode (and in the Simple method) ``page_no`` is
   set explicitly because navigation is no longer confined to one cluster.
 * ``resumed`` — the right end is an entry border record just delivered by

@@ -132,6 +132,12 @@ class CompiledStep:
     predicates: list[CompiledPredicate] = field(default_factory=list)
     #: Precompiled batch form of ``test`` for the columnar kernels.
     match_batch: BatchMatch = field(init=False, repr=False, compare=False)
+    #: ``(axis, test)`` as the key of the column views' batch memo; a str
+    #: caches its hash and compares in C, unlike the enum and dataclass
+    batch_key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.match_batch = compile_match_batch(self.test)
+        self.batch_key = (
+            f"{self.axis.value}|{sorted(self.test.kinds)}|{self.test.tag}"
+        )

@@ -74,7 +74,7 @@ class UnnestMap(Operator):
         ctx = self.ctx
         step = self.step
         axis = step.axis
-        test = step.test
+        batch_key = step.batch_key
         match_batch = step.match_batch
         predicates = step.predicates
         step_index = self.step_index
@@ -96,7 +96,7 @@ class UnnestMap(Operator):
                 if view is None:
                     view = page.colview()
                 upfront, free_head, cands, flags = view.extension_batch(
-                    test, match_batch, p.slot, axis, False
+                    batch_key, match_batch, p.slot, axis, False
                 )
                 if tracer is not None and cands:
                     tracer.event(
@@ -157,7 +157,7 @@ class UnnestMap(Operator):
                             if view is None:
                                 view = page.colview()
                             r_up, r_free, r_cands, r_flags = view.extension_batch(
-                                test, match_batch, slot_of(target), axis, True
+                                batch_key, match_batch, slot_of(target), axis, True
                             )
                             stack.append(
                                 [
@@ -211,13 +211,7 @@ class UnnestMap(Operator):
                                 tracer.count("instances_created")
                             d_hops = d_tests = 0
                             yield PathInstance(
-                                s_l=s_l,
-                                n_l=n_l,
-                                left_open=False,
-                                s_r=step_index,
-                                slot=slot,
-                                is_border=False,
-                                page_no=page_no,
+                                s_l, n_l, False, step_index, slot, False, False, page_no
                             )
                             now = clock.now
                             cpu = clock.cpu_time

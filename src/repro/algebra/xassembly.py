@@ -14,6 +14,14 @@ Execution state (paper's terms):
 * ``S`` — left-incomplete (speculative) instances, keyed by their left
   junction ``(S_L, N_L)``, waiting for that junction to become reachable.
 
+Keys and S entries are packed ints, so R and S hold no tuples or
+instance objects: a key ``(step, nid)`` is ``nid * (n + 1) + step``
+(``0 <= step <= n`` for a path of ``n`` steps, so the packing is
+injective for any path length), and an S entry with right end
+``(s_r, right)`` is ``(right * (n + 1) + s_r) * 2 + incomplete``.  An S
+value is one packed entry, or a list of them once a junction holds more
+than one.
+
 When a key enters R, all S-instances parked under it activate, possibly
 cascading (a speculative fragment can end at yet another border).  With
 an XSchedule input, proving a junction also enqueues a visit of the
@@ -31,31 +39,30 @@ If ``|S|`` exceeds the memory limit, the plan trips into *fallback mode*
 (Sec. 5.4.6): S is discarded, arriving left-incomplete instances are
 dropped (the complete re-evaluation regenerates their results), and only
 R survives as the duplicate filter.
+
+XAssembly takes the path's compiled steps and drives the XStep chain
+itself: :func:`repro.algebra.xstep.run_path` evaluates every step and
+the intake above as one loop over the input's instances.  The input is
+an operator (XSchedule, XScan) or, for a shared scan, a fixed list of
+one cluster's instances, swapped per cluster while R and S persist.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
 from repro.algebra.pathinstance import PathInstance
+from repro.algebra.steps import CompiledStep
+from repro.algebra.xstep import run_path
 from repro.errors import PlanError
-from repro.storage.nodeid import NodeID, make_nodeid, page_of, slot_of
-from repro.storage.record import BorderRecord
+from repro.storage.nodeid import NodeID
 
-
-class _Stored:
-    """An S-resident instance: right end normalized to NodeIDs."""
-
-    __slots__ = ("s_r", "right", "incomplete")
-
-    def __init__(self, s_r: int, right: NodeID, incomplete: bool) -> None:
-        self.s_r = s_r
-        #: junction NodeID (incomplete) or result-node NodeID (complete)
-        self.right = right
-        self.incomplete = incomplete
+#: operator name under which traces report a fixed list input (a shared
+#: scan's per-cluster batch)
+BATCH_INPUT = "_Replay"
 
 
 class XAssembly(Operator):
@@ -63,6 +70,7 @@ class XAssembly(Operator):
 
     __slots__ = (
         "producer",
+        "steps",
         "path_len",
         "schedule",
         "descendant_root_opt",
@@ -70,167 +78,109 @@ class XAssembly(Operator):
         "_s",
         "_s_size",
         "_ready",
+        "_step_out",
+        "_batch_out",
     )
 
     def __init__(
         self,
         ctx: EvalContext,
-        producer: Operator,
-        path_len: int,
+        producer: Operator | list[PathInstance],
+        steps: Sequence[CompiledStep],
         schedule=None,
         descendant_root_opt: bool = False,
     ) -> None:
         super().__init__(ctx)
+        for step in steps:
+            if step.predicates:
+                raise PlanError(
+                    "XStep does not evaluate nested predicates "
+                    "(paper: instances with more than two incomplete ends are future work)"
+                )
+        #: the input operator, or a list of one cluster's instances
         self.producer = producer
-        self.path_len = path_len
+        self.steps = list(steps)
+        self.path_len = len(self.steps)
         #: the associated XSchedule, or None when the input is an XScan
         self.schedule = schedule
         #: step-1 keys are implicitly reachable (``//`` prefix + scan input)
-        self.descendant_root_opt = descendant_root_opt and path_len > 1
-        self._r: set[tuple[int, NodeID]] = set()
-        self._s: dict[tuple[int, NodeID], list[_Stored]] = {}
+        self.descendant_root_opt = descendant_root_opt and self.path_len > 1
+        self._r: set[int] = set()
+        self._s: dict[int, int | list[int]] = {}
         self._s_size = 0
-        self._ready: deque[_Stored] = deque()
+        #: S entries whose left end became reachable, awaiting activation
+        self._ready: deque[int] = deque()
+        #: traced outputs of each XStep boundary (and of a list input)
+        #: since open
+        self._step_out: list[int] = []
+        self._batch_out = 0
 
     def open(self) -> None:
-        self.producer.open()
+        if isinstance(self.producer, Operator):
+            self.producer.open()
         # lower operators (XSchedule giving up on a dead page) trip
         # fallback through the context; this hook discards S for them
         self.ctx.fallback_hooks.append(self._on_fallback_trip)
+        self._step_out = [0] * self.path_len
+        self._batch_out = 0
         super().open()
 
+    def _produce(self) -> Iterator[PathInstance]:
+        return run_path(self)
+
     def close(self) -> None:
+        t0 = self._trace_t0
+        # closing the loop first settles its traced call counts
         super().close()
         try:
             self.ctx.fallback_hooks.remove(self._on_fallback_trip)
         except ValueError:
             pass
-        self.producer.close()
+        tracer = self.ctx.tracer
+        if tracer is not None and t0 is not None:
+            # the spans of the XStep chain and the input, in close order
+            t1 = self.ctx.clock.now
+            for out in reversed(self._step_out):
+                tracer.op_span("XStep", t0, t1, out)
+            if not isinstance(self.producer, Operator):
+                tracer.op_span(BATCH_INPUT, t0, t1, self._batch_out)
+        if isinstance(self.producer, Operator):
+            self.producer.close()
 
-    # ------------------------------------------------------------ R helpers
-
-    def _r_contains(self, key: tuple[int, NodeID]) -> bool:
-        self.ctx.charge_set_op()
-        if self.descendant_root_opt and key[0] == 1:
-            return True
-        return key in self._r
-
-    def _r_add(self, key: tuple[int, NodeID]) -> None:
-        if self.descendant_root_opt and key[0] == 1:
+    def _trace_calls(self, out: int, ended: bool, batch_out: int | None) -> None:
+        """Add the loop's boundary crossings to the tracer's rollups."""
+        tracer = self.ctx.tracer
+        if tracer is None:
             return
-        self._r.add(key)
+        calls = out + self.path_len * ended
+        if calls:
+            tracer.op_calls("XStep", calls, out)
+        if batch_out is not None:
+            self._batch_out = batch_out
+            if batch_out + ended:
+                tracer.op_calls(BATCH_INPUT, batch_out + ended, batch_out)
 
-    # -------------------------------------------------------------- pipeline
+    # ------------------------------------------------------------- R and S
 
-    def _produce(self) -> Iterator[PathInstance]:
-        ctx = self.ctx
-        while True:
-            while self._ready:
-                stored = self._ready.popleft()
-                result = self._activate(stored)
-                if result is not None:
-                    yield self._result_instance(result)
-            y = self.producer.next()
-            if y is None:
-                return
-            result = self._intake(y)
-            if result is not None:
-                yield self._result_instance(result)
-
-    def _result_instance(self, nid: NodeID) -> PathInstance:
-        self.ctx.charge_instance()
-        return PathInstance(
-            s_l=0,
-            n_l=None,
-            left_open=False,
-            s_r=self.path_len,
-            slot=slot_of(nid),
-            is_border=False,
-            page_no=page_of(nid),
-        )
-
-    # ---------------------------------------------------------------- intake
-
-    def _intake(self, y: PathInstance) -> NodeID | None:
-        ctx = self.ctx
-        assert y.page_no is not None
-        if y.is_border:
-            border = ctx.segment.page(y.page_no).record(y.slot)
-            assert isinstance(border, BorderRecord)
-            junction = border.target()
-            if y.left_open:
-                return self._store(y, _Stored(y.s_r, junction, incomplete=True))
-            self._prove(y.s_r, junction, origin=(y.s_l, y.n_l))
-            return None
-        nid = make_nodeid(y.page_no, y.slot)
-        if y.left_open:
-            return self._store(y, _Stored(y.s_r, nid, incomplete=False))
-        if y.s_r != self.path_len:
-            raise PlanError(
-                f"XAssembly received a complete non-full instance (s_r={y.s_r})"
-            )
-        return self._final(nid)
-
-    def _store(self, y: PathInstance, stored: _Stored) -> NodeID | None:
-        """Handle a left-incomplete instance: activate now or park in S."""
-        if self.ctx.fallback:
-            # complete re-evaluation covers all speculative results
-            return None
-        assert y.n_l is not None
-        left_key = (y.s_l, y.n_l)
-        if self._r_contains(left_key):
-            self.ctx.stats.merges += 1
-            if self.ctx.tracer is not None:
-                self.ctx.tracer.count("merges")
-            return self._activate(stored)
-        self.ctx.charge_set_op()
-        self._s.setdefault(left_key, []).append(stored)
-        self._s_size += 1
-        limit = self.ctx.options.memory_limit
-        if limit is not None and self._s_size > limit:
-            self._enter_fallback()
-        return None
-
-    # ------------------------------------------------------------ activation
-
-    def _activate(self, stored: _Stored) -> NodeID | None:
-        """Process an instance whose left end is known reachable."""
-        if stored.incomplete:
-            self._prove(stored.s_r, stored.right, origin=(0, None))
-            return None
-        if stored.s_r == self.path_len:
-            return self._final(stored.right)
-        raise PlanError(
-            f"complete non-full instance in S (s_r={stored.s_r}, len={self.path_len})"
-        )
-
-    def _final(self, nid: NodeID) -> NodeID | None:
-        """Deduplicate and emit a full path's result node."""
-        key = (self.path_len, nid)
-        if self._r_contains(key):
-            self.ctx.stats.duplicates_suppressed += 1
-            if self.ctx.tracer is not None:
-                self.ctx.tracer.count("duplicates_suppressed")
-            return None
-        self._r_add(key)
-        return nid
-
-    def _prove(self, step: int, junction: NodeID, origin: tuple[int, NodeID | None]) -> None:
+    def _prove(
+        self, step: int, junction: NodeID, origin_step: int, origin_node: NodeID | None
+    ) -> None:
         """Record that ``junction`` is reachable after ``step`` steps.
 
         Adds the key to R, schedules a visit of the junction's cluster
-        (XSchedule input only), and activates any S-instances waiting on
-        the key.
+        (XSchedule input only), and queues any S-instances waiting on
+        the key for activation.
         """
-        key = (step, junction)
-        if self._r_contains(key):
-            self.ctx.stats.duplicates_suppressed += 1
-            if self.ctx.tracer is not None:
-                self.ctx.tracer.count("duplicates_suppressed")
+        ctx = self.ctx
+        ctx.charge_set_op()
+        key = junction * (self.path_len + 1) + step
+        if (self.descendant_root_opt and step == 1) or key in self._r:
+            ctx.stats.duplicates_suppressed += 1
+            if ctx.tracer is not None:
+                ctx.tracer.count("duplicates_suppressed")
             return
-        self._r_add(key)
+        self._r.add(key)
         if self.schedule is not None:
-            origin_step, origin_node = origin
             self.schedule.add_from_assembly(
                 s_l=origin_step,
                 n_l=origin_node,
@@ -238,12 +188,18 @@ class XAssembly(Operator):
                 target=junction,
             )
         pending = self._s.pop(key, None)
-        if pending:
-            self.ctx.stats.merges += len(pending)
-            if self.ctx.tracer is not None:
-                self.ctx.tracer.count("merges", len(pending))
-            self._s_size -= len(pending)
+        if pending is None:
+            return
+        if type(pending) is list:
+            count = len(pending)
             self._ready.extend(pending)
+        else:
+            count = 1
+            self._ready.append(pending)
+        ctx.stats.merges += count
+        if ctx.tracer is not None:
+            ctx.tracer.count("merges", count)
+        self._s_size -= count
 
     # -------------------------------------------------------------- fallback
 

@@ -23,7 +23,7 @@ from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
 from repro.algebra.pathinstance import PathInstance
 from repro.algebra.steps import CompiledStep
-from repro.storage.nodeid import make_nodeid
+from repro.storage.nodeid import SLOT_BITS
 from repro.storage.pathsummary import PathPostings
 from repro.storage.store import StoredDocument
 from repro.storage.synopsis import cost_effective_skips
@@ -58,6 +58,10 @@ class XScan(Operator):
 
     def _produce(self) -> Iterator[PathInstance]:
         ctx = self.ctx
+        clock = ctx.clock
+        stats = ctx.stats
+        tracer = ctx.tracer
+        cost_instance = ctx._cost_instance
         # The paper requires the context input sorted by cluster id; we
         # group the (typically single) context instances per cluster.
         by_cluster: dict[int, list[PathInstance]] = {}
@@ -156,6 +160,7 @@ class XScan(Operator):
             for y in by_cluster.pop(page_no, ()):  # contexts first (paper)
                 ctx.charge_instance()
                 yield y
+            page = frame.page
             for step_index, step in enumerate(self.steps):
                 if ctx.fallback:
                     break
@@ -179,27 +184,31 @@ class XScan(Operator):
                         ctx.tracer.count("pathsummary_entries_pruned")
                     continue
                 # enumerating the view's precomputed border lists
-                # charges nothing
-                for border_slot in frame.page.colview().entry_slots(step.axis):
-                    ctx.charge_instance()
-                    ctx.stats.speculative_instances += 1
-                    if ctx.tracer is not None:
-                        ctx.tracer.count("speculative_instances")
+                # charges nothing; each instance is charged as
+                # ``ctx.charge_instance`` would
+                node_base = page_no << SLOT_BITS
+                for border_slot in page.colview().entry_slots(step.axis):
+                    clock.now += cost_instance
+                    clock.cpu_time += cost_instance
+                    stats.instances_created += 1
+                    stats.speculative_instances += 1
+                    if tracer is not None:
+                        tracer.count("instances_created")
+                        tracer.count("speculative_instances")
                     yield PathInstance(
-                        s_l=step_index,
-                        n_l=make_nodeid(page_no, border_slot),
-                        left_open=True,
-                        s_r=step_index,
-                        slot=border_slot,
-                        is_border=True,
-                        resumed=True,
-                        page_no=page_no,
+                        step_index,
+                        node_base | border_slot,
+                        True,
+                        step_index,
+                        border_slot,
+                        True,
+                        True,
+                        page_no,
                     )
 
         if ctx.fallback:
             # restart the producer, behave as the identity operator: the
             # fallback XStep chain fully re-evaluates every context
-            ctx.stats.fallbacks += 0  # counted by XAssembly; kept for clarity
             for y in all_contexts:
                 ctx.charge_instance()
                 yield y

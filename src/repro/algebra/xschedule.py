@@ -254,14 +254,14 @@ class XSchedule(Operator):
 
             ctx.charge_instance()
             yield PathInstance(
-                s_l=entry.s_l,
-                n_l=entry.n_l,
-                left_open=entry.left_open,
-                s_r=entry.s_r,
-                slot=slot_of(entry.target),
-                is_border=entry.resumed,
-                resumed=entry.resumed,
-                page_no=cluster,
+                entry.s_l,
+                entry.n_l,
+                entry.left_open,
+                entry.s_r,
+                slot_of(entry.target),
+                entry.resumed,
+                entry.resumed,
+                cluster,
             )
 
     def _pick_cluster(self) -> int:
@@ -406,12 +406,12 @@ class XSchedule(Operator):
                 if ctx.tracer is not None:
                     ctx.tracer.count("speculative_instances")
                 yield PathInstance(
-                    s_l=step_index,
-                    n_l=make_nodeid(page_no, border_slot),
-                    left_open=True,
-                    s_r=step_index,
-                    slot=border_slot,
-                    is_border=True,
-                    resumed=True,
-                    page_no=page_no,
+                    step_index,
+                    make_nodeid(page_no, border_slot),
+                    True,
+                    step_index,
+                    border_slot,
+                    True,
+                    True,
+                    page_no,
                 )

@@ -144,6 +144,10 @@ class Tracer:
 
     def op_call(self, name: str, produced: bool) -> None:
         """One ``next()`` crossing of operator class ``name``."""
+        self.op_calls(name, 1, 1 if produced else 0)
+
+    def op_calls(self, name: str, calls: int, out: int) -> None:
+        """``calls`` crossings of operator ``name``, ``out`` of them producing."""
         ops = self.operators.get(name)
         if ops is None:
             ops = self.operators[name] = {
@@ -152,9 +156,8 @@ class Tracer:
                 "out": 0,
                 "busy": 0.0,
             }
-        ops["calls"] += 1
-        if produced:
-            ops["out"] += 1
+        ops["calls"] += calls
+        ops["out"] += out
 
     def op_span(self, name: str, t0: float, t1: float, out: int) -> None:
         """One open→close lifetime of an operator instance."""

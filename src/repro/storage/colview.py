@@ -154,19 +154,23 @@ class ColumnView:
 
     # ------------------------------------------------------ extension batch
 
-    def extension_batch(self, test, match_batch, slot: int, axis: Axis, resumed: bool):
+    def extension_batch(
+        self, batch_key: str, match_batch, slot: int, axis: Axis, resumed: bool
+    ):
         """One whole step extension, memoized: ``(upfront_hops, free_head,
         candidate slots, match flags)``.
 
-        ``test`` (a hashable :class:`~repro.algebra.steps.CompiledNodeTest`)
-        keys the cache so different steps sharing a view never cross;
-        ``match_batch`` is its compiled batch closure, only invoked on a
-        miss.  Both discovery and node-testing are charge-free, so the
-        cache cannot perturb simulated timings — the kernels replay
-        hop/test charges from the shape regardless.  The returned lists
+        ``batch_key`` (a step's
+        :attr:`~repro.algebra.steps.CompiledStep.batch_key`, naming its
+        axis and node test) keys the cache so different steps sharing a
+        view never cross; ``match_batch`` is the step's compiled batch
+        closure, only invoked on a miss.  Both discovery and
+        node-testing are charge-free, so the cache cannot perturb
+        simulated timings — the kernels replay hop/test charges from the
+        shape regardless.  The returned lists
         are shared — do not mutate.
         """
-        key = (test, slot, axis, resumed)
+        key = (batch_key, slot, resumed)
         cached = self._flag_cache.get(key)
         if cached is None:
             if resumed:

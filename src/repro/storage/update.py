@@ -182,6 +182,8 @@ def _make_room(
                 continue
             if record.kind == Kind.DOCUMENT or record.parent_slot < 0:
                 continue
+            if record.kind == Kind.ATTRIBUTE:
+                continue  # stays with its owner; it moves with the owner's closure
             parent = page.record(record.parent_slot)
             closure = _local_closure(page, slot, limit=16)
             if closure is None:
@@ -257,6 +259,9 @@ def _split_child_list(segment: Segment, doc: StoredDocument, page: Page, holder,
     run: list[tuple[int, list[int]]] = []  # (list index, local closure slots)
     moved_bytes = 0
     for index in range(len(slots) - 1, -1, -1):
+        entry = page.record(slots[index])
+        if isinstance(entry, CoreRecord) and entry.kind == Kind.ATTRIBUTE:
+            break  # attributes lead the list and stay with their owner
         closure = _local_closure(page, slots[index], limit=8)
         if closure is None:
             break
@@ -419,7 +424,10 @@ def insert_node(
 
     Returns the new node's NodeID.  ``position`` counts logical children
     (attributes included, continuations transparent); ``position`` may
-    equal the child count to append.
+    equal the child count to append.  Attributes lead their element's
+    child list, so an attribute goes among them and any other node after
+    them; a position breaking that order raises :class:`StorageError`
+    before anything changes.
 
     NodeIDs of *other* nodes are stable across inserts except for records
     the space manager relocates (leaves moved off a full page, tail runs
@@ -435,6 +443,22 @@ def insert_node(
     if not 0 <= position <= len(entries):
         raise StorageError(
             f"insert position {position} out of range 0..{len(entries)}"
+        )
+    attributes = 0
+    for entry_page, _, _, entry_slot in entries:
+        entry = entry_page.record(entry_slot)
+        if not isinstance(entry, CoreRecord) or entry.kind != Kind.ATTRIBUTE:
+            break
+        attributes += 1
+    if kind == Kind.ATTRIBUTE and position > attributes:
+        raise StorageError(
+            f"attribute insert at position {position} would follow content "
+            f"of its element (its {attributes} attributes come first)"
+        )
+    if kind != Kind.ATTRIBUTE and position < attributes:
+        raise StorageError(
+            f"{kind.name.lower()} insert at position {position} would precede "
+            f"an attribute of its element (its {attributes} attributes come first)"
         )
     # invalidate *before* the first mutation, not after the last: an
     # operation that fails (or a process that dies) midway must not

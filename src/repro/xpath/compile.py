@@ -37,7 +37,6 @@ from repro.algebra.unnestmap import UnnestMap
 from repro.algebra.xassembly import XAssembly
 from repro.algebra.xschedule import XSchedule
 from repro.algebra.xscan import XScan
-from repro.algebra.xstep import XStep
 from repro.errors import UnsupportedQueryError
 from repro.model.tags import TagDictionary
 from repro.sim.disk import DiskGeometry
@@ -249,23 +248,13 @@ class CompiledPathPlan:
                 document=self.document,
                 postings=self.postings,
             )
-            top = schedule
-            for index, step in enumerate(self.steps, start=1):
-                top = XStep(ctx, top, index, step)
-            return XAssembly(ctx, top, len(self.steps), schedule=schedule)
+            return XAssembly(ctx, schedule, self.steps, schedule=schedule)
         if self.kind is PlanKind.XSCAN:
             scan = XScan(
                 ctx, source, self.steps, self.document, postings=self.postings
             )
-            top = scan
-            for index, step in enumerate(self.steps, start=1):
-                top = XStep(ctx, top, index, step)
             return XAssembly(
-                ctx,
-                top,
-                len(self.steps),
-                schedule=None,
-                descendant_root_opt=self.descendant_root_opt,
+                ctx, scan, self.steps, descendant_root_opt=self.descendant_root_opt
             )
         raise UnsupportedQueryError(f"unresolved plan kind {self.kind}")
 

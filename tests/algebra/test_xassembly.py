@@ -6,6 +6,8 @@ from repro.algebra.context import EvalOptions
 from repro.algebra.xassembly import XAssembly
 from repro.algebra.base import Operator
 from repro.algebra.pathinstance import PathInstance
+from repro.algebra.steps import CompiledNodeTest, CompiledStep
+from repro.axes import Axis
 from repro.storage.nodeid import make_nodeid, page_of, slot_of
 
 from tests.paper_tree import PAGE_A, PAGE_C, PAGE_D, build_paper_tree
@@ -18,6 +20,14 @@ class ListSource(Operator):
 
     def _produce(self):
         yield from self.items
+
+
+#: a two-step path; every instance below ends at step 2 or is a paused
+#: border, so it passes both steps straight to intake
+TWO_STEPS = [
+    CompiledStep(Axis.CHILD, CompiledNodeTest.compile("wildcard", Axis.CHILD, None))
+    for _ in range(2)
+]
 
 
 def full(nid, s_r=2, n_l=None):
@@ -39,7 +49,7 @@ def test_full_instances_pass_through(paper_tree=None):
     paper = build_paper_tree()
     ctx = paper.db.make_context()
     items = [full(paper.nodes["a3"]), full(paper.nodes["c4"])]
-    assembly = XAssembly(ctx, ListSource(ctx, items), path_len=2)
+    assembly = XAssembly(ctx, ListSource(ctx, items), TWO_STEPS)
     assert drain(assembly) == [paper.nodes["a3"], paper.nodes["c4"]]
 
 
@@ -47,7 +57,7 @@ def test_final_duplicates_eliminated_via_r():
     paper = build_paper_tree()
     ctx = paper.db.make_context()
     items = [full(paper.nodes["a3"])] * 3
-    assembly = XAssembly(ctx, ListSource(ctx, items), path_len=2)
+    assembly = XAssembly(ctx, ListSource(ctx, items), TWO_STEPS)
     assert drain(assembly) == [paper.nodes["a3"]]
     assert ctx.stats.duplicates_suppressed == 2
 
@@ -68,7 +78,7 @@ def test_right_incomplete_goes_to_schedule_queue():
     paused = PathInstance(
         0, paper.nodes["d1"], False, 0, slot_of(paper.nodes["d2"]), True, page_no=PAGE_D
     )
-    assembly = XAssembly(ctx, ListSource(ctx, [paused]), path_len=2, schedule=schedule)
+    assembly = XAssembly(ctx, ListSource(ctx, [paused]), TWO_STEPS, schedule=schedule)
     assert drain(assembly) == []
     assert schedule.added == [(0, paper.nodes["d1"], 0, paper.nodes["a1"])]
 
@@ -91,7 +101,7 @@ def test_same_junction_not_scheduled_twice():
     again = PathInstance(
         0, paper.nodes["d1"], False, 0, slot_of(paper.nodes["d2"]), True, page_no=PAGE_D
     )
-    assembly = XAssembly(ctx, ListSource(ctx, [paused, again]), path_len=2, schedule=schedule)
+    assembly = XAssembly(ctx, ListSource(ctx, [paused, again]), TWO_STEPS, schedule=schedule)
     drain(assembly)
     assert len(schedule.added) == 1
     assert ctx.stats.duplicates_suppressed == 1
@@ -109,7 +119,7 @@ def test_left_incomplete_merges_when_junction_proven():
     paused = PathInstance(
         0, paper.nodes["d1"], False, 1, slot_of(paper.nodes["d2"]), True, page_no=PAGE_D
     )
-    assembly = XAssembly(ctx, ListSource(ctx, [speculative, paused]), path_len=2)
+    assembly = XAssembly(ctx, ListSource(ctx, [speculative, paused]), TWO_STEPS)
     assert drain(assembly) == [paper.nodes["a3"]]
     assert ctx.stats.merges == 1
 
@@ -123,7 +133,7 @@ def test_left_incomplete_activates_immediately_if_already_proven():
     speculative = PathInstance(
         1, paper.nodes["a1"], True, 2, slot_of(paper.nodes["a3"]), False, page_no=PAGE_A
     )
-    assembly = XAssembly(ctx, ListSource(ctx, [paused, speculative]), path_len=2)
+    assembly = XAssembly(ctx, ListSource(ctx, [paused, speculative]), TWO_STEPS)
     assert drain(assembly) == [paper.nodes["a3"]]
 
 
@@ -150,7 +160,7 @@ def test_cascading_activation_across_clusters():
     proof = PathInstance(
         0, paper.nodes["d1"], False, 0, slot_of(paper.nodes["d3"]), True, page_no=PAGE_D
     )
-    assembly = XAssembly(ctx, ListSource(ctx, [frag, frag2, proof]), path_len=2)
+    assembly = XAssembly(ctx, ListSource(ctx, [frag, frag2, proof]), TWO_STEPS)
     assert drain(assembly) == [paper.nodes["a3"]]
     assert ctx.stats.merges == 2
 
@@ -166,7 +176,7 @@ def test_memory_limit_triggers_fallback():
             1, paper.nodes["c1"], True, 2, slot_of(paper.nodes["c4"]), False, page_no=PAGE_C
         ),
     ]
-    assembly = XAssembly(ctx, ListSource(ctx, fragments), path_len=2)
+    assembly = XAssembly(ctx, ListSource(ctx, fragments), TWO_STEPS)
     drain(assembly)
     assert ctx.fallback
     assert ctx.stats.fallbacks == 1
@@ -180,7 +190,7 @@ def test_descendant_root_opt_skips_step1_keys():
         0, paper.nodes["d1"], False, 1, slot_of(paper.nodes["d2"]), True, page_no=PAGE_D
     )
     assembly = XAssembly(
-        ctx, ListSource(ctx, [paused]), path_len=2, descendant_root_opt=True
+        ctx, ListSource(ctx, [paused]), TWO_STEPS, descendant_root_opt=True
     )
     drain(assembly)
     # step-1 junction keys are implicit: nothing stored in R

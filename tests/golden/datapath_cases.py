@@ -15,6 +15,14 @@ text-value comparisons) and fallback mode under small memory limits.
 writes it and ``tests/integration/test_datapath_golden.py`` checks it.
 The rows were recorded for exactly these cases: editing a case (or the
 order its paths are drawn in) orphans its row.
+
+:data:`TRACED_CASES` rerun the XMark and fallback cases, two budget
+truncations per scan-plan family and Q15 with the path summary off (a
+13-step chain on the cost-sensitive plans) with a tracer attached;
+:func:`traced_row` adds the trace to the row — the mirrored counters,
+the per-operator ``opens``/``calls``/``out``/``busy`` rollups and a
+digest of the ordered ``op`` events (operator spans and
+``xstep-batch``).  ``traced.json`` holds those rows.
 """
 
 from __future__ import annotations
@@ -22,13 +30,15 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import json
 import random
 from dataclasses import dataclass
 from typing import Any
 
-from repro import PROFILES, Database, EvalOptions, ImportOptions
+from repro import PROFILES, Database, EvalOptions, ExecutionBudget, ImportOptions
 from repro.model.tree import LogicalTree
-from repro.xmark import PAPER_QUERIES, generate_xmark
+from repro.obs.tracer import Tracer
+from repro.xmark import PAPER_QUERIES, Q7, Q15, generate_xmark
 from repro.xpath.reference import evaluate_query
 from tests.conftest import make_random_tree
 
@@ -189,6 +199,47 @@ CASES: list[Case] = (
     _random_cases() + _xmark_cases() + _fault_cases() + _predicate_cases() + _fallback_cases()
 )
 
+
+def _traced_cases() -> list[Case]:
+    """The cases the traced fixture pins (see the module docstring)."""
+    cases = [
+        dataclasses.replace(case, id=f"traced/{case.id}")
+        for case in _xmark_cases() + _fallback_cases()
+    ]
+    budgets = [
+        ("seconds", ExecutionBudget(max_seconds=0.02, on_exceeded="partial")),
+        ("pages", ExecutionBudget(max_pages=20, on_exceeded="partial")),
+    ]
+    for label, budget in budgets:
+        for plan in ("xschedule", "xscan", "xscan-shared"):
+            cases.append(
+                Case(
+                    f"traced/budget/{label}/{plan}",
+                    ("xmark", 1.0),
+                    Q7,
+                    plan,
+                    (("budget", budget),),
+                )
+            )
+    for fragmentation in (0.0, 1.0):
+        for label, plan, options in PLAN_VARIANTS:
+            cases.append(
+                Case(
+                    f"traced/q15-nosummary/{fragmentation}/{label}",
+                    ("xmark", fragmentation),
+                    Q15,
+                    plan,
+                    options + (("pathsummary", False),),
+                )
+            )
+    return cases
+
+
+TRACED_CASES: list[Case] = _traced_cases()
+
+#: ring capacity of the traced runs: large enough that no case drops
+TRACE_CAPACITY = 1 << 20
+
 _STORES: dict[tuple[Any, ...], tuple[Any, LogicalTree]] = {}
 
 
@@ -209,7 +260,7 @@ def store_and_tree(key: tuple[Any, ...]) -> tuple[Any, LogicalTree]:
     return _STORES[key]
 
 
-def run_case(case: Case):
+def run_case(case: Case, tracer: Tracer | None = None):
     """Execute ``case`` cold on a fresh runtime over its shared store."""
     store, _ = store_and_tree(case.store)
     faults = None
@@ -218,7 +269,11 @@ def run_case(case: Case):
         faults = dataclasses.replace(PROFILES[profile], seed=fault_seed)
     buffer_pages = 64 if case.store[0] == "xmark" else 48
     db = Database(
-        page_size=store.segment.page_size, buffer_pages=buffer_pages, store=store, faults=faults
+        page_size=store.segment.page_size,
+        buffer_pages=buffer_pages,
+        store=store,
+        faults=faults,
+        tracer=tracer,
     )
     options = EvalOptions(**dict(case.options))
     return db.execute(case.query, doc="d", plan=case.plan, options=options)
@@ -239,6 +294,33 @@ def outcome_row(result) -> dict[str, Any]:
     row["stats"] = {k: v for k, v in result.stats.as_dict().items() if v}
     row["total"] = result.total_time
     row["cpu"] = result.cpu_time
+    return row
+
+
+def run_traced(case: Case) -> tuple[Any, dict[str, Any]]:
+    """Execute ``case`` with a fresh tracer: its result and traced row."""
+    tracer = Tracer(capacity=TRACE_CAPACITY)
+    result = run_case(case, tracer)
+    assert tracer.dropped == 0, f"{case.id}: trace ring dropped events"
+    return result, traced_row(result, tracer)
+
+
+def traced_row(result, tracer: Tracer) -> dict[str, Any]:
+    """The traced fixture row: :func:`outcome_row` plus the trace."""
+    row = outcome_row(result)
+    row["partial"] = result.partial
+    summary = result.trace_summary
+    row["counters"] = {k: v for k, v in summary.counters.items() if v}
+    row["operators"] = summary.operators
+    events = [
+        [event.ts, event.name, event.page, event.dur, event.args]
+        for event in tracer.events
+        if event.cat == "op"
+    ]
+    row["op_events"] = len(events)
+    row["op_digest"] = hashlib.sha256(
+        json.dumps(events, sort_keys=True).encode()
+    ).hexdigest()[:16]
     return row
 
 

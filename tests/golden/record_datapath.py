@@ -4,6 +4,13 @@ Runs every case of :mod:`tests.golden.datapath_cases` and refuses to
 write unless every result agrees with the reference evaluator::
 
     PYTHONPATH=src python -m tests.golden.record_datapath
+    PYTHONPATH=src python -m tests.golden.record_datapath --traced
+
+``--traced`` writes ``tests/golden/traced.json`` from the traced cases
+instead; a budget case must come back truncated (``partial``), every
+other case must agree with the reference evaluator.  The traced rows
+were recorded at commit af29f6a, the last commit whose cost-sensitive
+plans ran the XStep chain as one generator per step.
 
 The checked-in rows were recorded at commit 3695bfe, where the engine
 still carried two intra-cluster datapaths (record-object navigation and
@@ -22,19 +29,31 @@ from pathlib import Path
 
 from tests.golden.datapath_cases import (
     CASES,
+    TRACED_CASES,
     outcome_row,
     reference_outcome,
     result_outcome,
     run_case,
+    run_traced,
 )
 
 FIXTURE = Path(__file__).with_name("datapath.json")
+TRACED_FIXTURE = Path(__file__).with_name("traced.json")
 
 
-def main() -> int:
+def main(traced: bool = False) -> int:
     rows = {}
     failures = []
-    for case in CASES:
+    for case in TRACED_CASES if traced else CASES:
+        if traced:
+            result, row = run_traced(case)
+            if case.id.startswith("traced/budget/"):
+                if not result.partial:
+                    failures.append(f"{case.id}: the budget did not truncate the run")
+            elif result_outcome(result) != reference_outcome(case):
+                failures.append(f"{case.id}: result differs from the reference evaluator")
+            rows[case.id] = row
+            continue
         result = run_case(case)
         if result_outcome(result) != reference_outcome(case):
             failures.append(f"{case.id}: result differs from the reference evaluator")
@@ -47,13 +66,14 @@ def main() -> int:
         ["git", "rev-parse", "HEAD"], capture_output=True, text=True, check=True
     ).stdout.strip()
     lines = [f'  "{case_id}": {json.dumps(row, sort_keys=True)}' for case_id, row in rows.items()]
-    FIXTURE.write_text(
+    target = TRACED_FIXTURE if traced else FIXTURE
+    target.write_text(
         '{\n "recorded_at": "%s",\n "rows": {\n%s\n }\n}\n' % (commit, ",\n".join(lines)),
         encoding="utf-8",
     )
-    print(f"wrote {len(rows)} rows to {FIXTURE}")
+    print(f"wrote {len(rows)} rows to {target}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(traced="--traced" in sys.argv[1:]))

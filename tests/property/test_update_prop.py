@@ -3,24 +3,29 @@ physical plans in agreement with each other."""
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Database
 from repro.algebra.fullnav import full_axis
 from repro.axes import Axis
 from repro.errors import StorageError
+from repro.model.tree import Kind
 from repro.storage.nodeid import page_of, slot_of
 from repro.storage.store import check_document, export_tree, recollect_statistics
 from repro.storage.update import delete_subtree, insert_node, update_value
 
 
-def _child_count(db, node):
-    """Logical children of ``node``, attributes included (the range
-    ``insert_node`` positions count over)."""
+def _children(db, node):
+    """Kinds of the logical children of ``node``, attributes included
+    (the range ``insert_node`` positions count over)."""
     ctx = db.make_context()
+    segment = db.store.segment
     try:
-        return sum(1 for _ in full_axis(ctx, page_of(node), slot_of(node), Axis.CHILD))
+        return [
+            segment.page(page).record(slot).kind
+            for page, slot in full_axis(ctx, page_of(node), slot_of(node), Axis.CHILD)
+        ]
     finally:
         ctx.release()
 
@@ -34,12 +39,16 @@ def storms(draw):
 
 
 @given(storms())
+# space making once relocated attribute records away from their owner
+@example((4586, 17, 256))
 @settings(max_examples=25, deadline=None)
 def test_update_storm_soundness(storm):
     seed, n_steps, page_size = storm
     rng = random.Random(seed)
     db = Database(page_size=page_size, buffer_pages=64)
-    db.load_xml("<root><a>seed text</a><b/><c><d/></c></root>", "d")
+    db.load_xml(
+        '<root id="r"><a x="1" y="2">seed text</a><b z="3"/><c><d w="4"/></c></root>', "d"
+    )
     doc = db.document("d")
 
     for _ in range(n_steps):
@@ -49,14 +58,21 @@ def test_update_storm_soundness(storm):
             parent = rng.choice(elements + [doc.root])
             if db.node_info(parent)[0] == "TEXT":
                 continue
-            insert_node(
-                db.store,
-                doc,
-                parent,
-                rng.randrange(_child_count(db, parent) + 1),
-                rng.choice("wxyz"),
-                value=None if rng.random() < 0.6 else "v" * rng.randrange(1, 30),
-            )
+            children = _children(db, parent)
+            position = rng.randrange(len(children) + 1)
+            try:
+                insert_node(
+                    db.store,
+                    doc,
+                    parent,
+                    position,
+                    rng.choice("wxyz"),
+                    value=None if rng.random() < 0.6 else "v" * rng.randrange(1, 30),
+                )
+            except StorageError:
+                # only a position in front of an attribute is refused
+                if position == len(children) or children[position] != Kind.ATTRIBUTE:
+                    raise
         elif action < 0.7:
             texts = db.execute("//text()", doc="d", plan="simple").nodes
             if texts:

@@ -176,6 +176,40 @@ def test_insert_position_out_of_range():
         insert_node(db.store, doc, root, 7, "z")
 
 
+@pytest.mark.parametrize(
+    "kind, position",
+    [(Kind.ELEMENT, 0), (Kind.ELEMENT, 1), (Kind.TEXT, 1), (Kind.ATTRIBUTE, 3)],
+)
+def test_insert_breaking_attribute_order_is_refused(tmp_path, kind, position):
+    """Attributes lead the child list: a node before one, or an attribute
+    after content, is refused before anything changes (nothing logged)."""
+    db = make_db('<root><a x="1" y="2"><b/>text</a></root>')
+    db.attach_wal(str(tmp_path / "d.wal"))
+    doc = db.document("d")
+    a = find_one(db, "/root/a")
+    before = serialize(export_tree(db.store, doc))
+    synopsis = doc.synopsis
+    lsn = db.wal.lsn
+    with pytest.raises(StorageError, match="attribute"):
+        db.wal.insert("d", a, position, "n", kind, None if kind == Kind.ELEMENT else "v")
+    assert doc.synopsis is synopsis
+    assert db.wal.lsn == lsn
+    assert serialize(export_tree(db.store, doc)) == before
+    check_document(db.store, doc)
+
+
+def test_insert_keeping_attribute_order_exports():
+    db = make_db('<root><a x="1" y="2"><b/>text</a></root>')
+    doc = db.document("d")
+    a = find_one(db, "/root/a")
+    insert_node(db.store, doc, a, 2, "n")  # right after the attributes
+    insert_node(db.store, doc, a, 1, "w", Kind.ATTRIBUTE, "3")
+    check_document(db.store, doc)
+    assert serialize(export_tree(db.store, doc)) == (
+        '<root><a x="1" w="3" y="2"><n/><b/>text</a></root>'
+    )
+
+
 def test_statistics_invalidated_by_updates():
     db = make_db()
     doc = db.document("d")
